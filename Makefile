@@ -1,6 +1,6 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test race chaos bench prof bench-compare slo
+.PHONY: check build vet test race chaos fuzz bench prof bench-compare slo
 
 check: build vet test race
 
@@ -24,6 +24,13 @@ race:
 # Seeds are fixed in the test code, so this is deterministic per build.
 chaos:
 	go test -race -timeout 300s -run 'Chaos' ./internal/suites/ ./internal/serve/
+
+# Bounded native fuzzing, not part of check: FuzzEngineParity splices
+# mutated kernel bodies into the differential fuzzer's signature and holds
+# the vm to the interpreter oracle.  Plain `go test` already replays the
+# seed corpus; this explores past it for 30 s on two workers.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzEngineParity$$' -fuzztime 30s -parallel 2 ./internal/vm/
 
 # SLO smoke: a short self-hosted cuccload sweep with the journal and a
 # default objective on, asserting the /slo page renders in both formats and

@@ -31,7 +31,6 @@ type engineBenchResult struct {
 type engineBenchSpeedup struct {
 	Program      string  `json:"program"`
 	VMOverInterp float64 `json:"vm_over_interp"`
-	LanesOverVM  float64 `json:"vm_lanes_over_vm"`
 }
 
 type engineBenchReport struct {
@@ -79,7 +78,7 @@ func writeEngineBench(path string, workers int) error {
 		// pool scheduling.
 		workers = 1
 	}
-	engines := []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes, cluster.EngineInterp}
+	engines := []cluster.Engine{cluster.EngineVM, cluster.EngineInterp}
 	progs := suites.Registry()
 
 	rep := engineBenchReport{
@@ -87,7 +86,7 @@ func writeEngineBench(path string, workers int) error {
 		Date:          time.Now().UTC().Format("2006-01-02"),
 		Workers:       workers,
 		Config: prof.BenchConfig{
-			Engines: []string{cluster.EngineVM.String(), cluster.EngineVMLanes.String(), cluster.EngineInterp.String()},
+			Engines: []string{cluster.EngineVM.String(), cluster.EngineInterp.String()},
 			Workers: workers,
 			Nodes:   1, // timeEngine always runs single-node
 			// FaultSeed stays 0: the engine bench never injects faults.
@@ -108,7 +107,6 @@ func writeEngineBench(path string, workers int) error {
 		rep.Speedups = append(rep.Speedups, engineBenchSpeedup{
 			Program:      p.Name,
 			VMOverInterp: perEngine[cluster.EngineInterp] / perEngine[cluster.EngineVM],
-			LanesOverVM:  perEngine[cluster.EngineVM] / perEngine[cluster.EngineVMLanes],
 		})
 	}
 	coll, err := collectiveBench(progs)

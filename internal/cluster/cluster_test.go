@@ -438,3 +438,20 @@ func TestSubgroupRunsAfterAbort(t *testing.T) {
 		t.Fatal("AdoptSubgroup after a cluster-level abort must refuse")
 	}
 }
+
+// TestParseEngine: every engine round-trips through its String form, and
+// the retired "vm-lanes" name still selects the vm.
+func TestParseEngine(t *testing.T) {
+	for _, e := range []Engine{EngineDefault, EngineVM, EngineInterp} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	if got, err := ParseEngine("vm-lanes"); err != nil || got != EngineVM {
+		t.Errorf(`ParseEngine("vm-lanes") = %v, %v; want vm`, got, err)
+	}
+	if _, err := ParseEngine("vm-scalar"); err == nil {
+		t.Error("ParseEngine accepted an unknown engine")
+	}
+}

@@ -160,7 +160,8 @@ type ExecConfig struct {
 	// Engine selects the IR execution engine for kernels without a native
 	// implementation.  EngineDefault falls through to the cluster's
 	// configured engine, then DefaultEngine, then EngineVM.  Both engines
-	// produce bitwise-identical memory and Work counters; the interpreter
+	// produce bitwise-identical memory and Work counters for every kernel
+	// whose result does not depend on thread interleaving; the interpreter
 	// is kept as the differential-testing oracle.
 	Engine cluster.Engine
 }

@@ -26,11 +26,17 @@ const (
 	MetricCallbackWallSec     = "core.phase.callback.wall_seconds"
 	MetricBlocksNative        = "core.blocks.native"
 	MetricBlocksVM            = "core.blocks.vm"
-	MetricBlocksVMLanes       = "core.blocks.vm_lanes"
 	MetricBlocksInterp        = "core.blocks.interp"
 	MetricWorkerBlocks        = "core.worker.blocks"
 	MetricWorkerUtilization   = "core.worker.utilization"
 )
+
+// MetricBlocksVMLanes was the block counter of the lane-batched vm while it
+// ran next to a scalar one.
+//
+// Deprecated: every vm block counts under MetricBlocksVM and nothing writes
+// this counter; it stays for readers that still sum both.
+const MetricBlocksVMLanes = "core.blocks.vm_lanes"
 
 // registry resolves the session's metrics destination: the session's own
 // registry, then the cluster's, then the process default.  Nil means

@@ -24,7 +24,10 @@ import (
 // Version 4 added SLO attainment and error-budget burn to the service rows
 // (slo_attainment, slo_burn); the columns are optional (omitempty) and the
 // SLO comparison rows are only produced when both sides carry them, so
-// v3-vs-v4 comparisons warn and diff the shared figures.
+// v3-vs-v4 comparisons warn and diff the shared figures.  Later v4 reports
+// carry no vm-lanes rows or vm_lanes_over_vm column, since the lane-batched
+// dispatcher became the only vm: the engine-list difference warns, and an
+// older report's vm-lanes rows appear under only-old.
 const BenchSchemaVersion = 4
 
 // BenchConfig pins the run configuration a benchmark report was produced
@@ -105,7 +108,7 @@ func ParseBenchReport(data []byte) (*BenchReport, error) {
 
 // CompareRow is one matched key across two reports.
 type CompareRow struct {
-	Key string `json:"key"`
+	Key string  `json:"key"`
 	Old float64 `json:"old"`
 	New float64 `json:"new"`
 	// DeltaFrac is (new-old)/old; positive means the figure grew.

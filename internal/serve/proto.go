@@ -53,7 +53,10 @@ type Request struct {
 	Args   []ArgSpec `json:"args,omitempty"`
 
 	// Nodes / Workers / Engine / Collective configure the job's cluster
-	// (0/empty = server defaults).
+	// (0/empty = server defaults).  Engine is "vm" or "interp" ("vm-lanes"
+	// is accepted as a synonym for "vm"); it applies only to kernels
+	// without a registered native, so suite jobs whose kernels have one run
+	// the native whatever it says.
 	Nodes      int    `json:"nodes,omitempty"`
 	Workers    int    `json:"workers,omitempty"`
 	Engine     string `json:"engine,omitempty"`

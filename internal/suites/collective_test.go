@@ -69,7 +69,7 @@ func TestCollectiveEquivalenceAcrossEngines(t *testing.T) {
 	choices := collectiveChoices(t)
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
-			for _, eng := range []cluster.Engine{cluster.EngineInterp, cluster.EngineVM, cluster.EngineVMLanes} {
+			for _, eng := range []cluster.Engine{cluster.EngineInterp, cluster.EngineVM} {
 				ref := collectiveRun(t, p, eng, 4, nil, csched.Choice{})
 				for _, choice := range choices {
 					got := collectiveRun(t, p, eng, 4, nil, choice)
@@ -94,7 +94,7 @@ func TestCollectiveEquivalenceUnderBenignFaults(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			ref := collectiveRun(t, p, cluster.EngineInterp, 4, benign, csched.Choice{})
 			for _, choice := range choices {
-				got := collectiveRun(t, p, cluster.EngineVMLanes, 4, benign, choice)
+				got := collectiveRun(t, p, cluster.EngineVM, 4, benign, choice)
 				if !bytes.Equal(ref, got) {
 					t.Errorf("choice %s: heap differs from legacy ring under benign faults", choice)
 				}

@@ -48,18 +48,16 @@ func engineRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *tran
 	return heapSnapshot(c)
 }
 
-// TestEngineEquivalence: vm, vm-lanes, and interp heaps must match bitwise
-// on every program, on one node and across four.
+// TestEngineEquivalence: vm and interp heaps must match bitwise on every
+// program, on one node and across four.
 func TestEngineEquivalence(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
 			for _, nodes := range []int{1, 4} {
 				ref := engineRun(t, p, cluster.EngineInterp, nodes, nil)
-				for _, eng := range []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes} {
-					got := engineRun(t, p, eng, nodes, nil)
-					if !bytes.Equal(ref, got) {
-						t.Errorf("%d nodes: %s heap differs from interp heap", nodes, eng)
-					}
+				got := engineRun(t, p, cluster.EngineVM, nodes, nil)
+				if !bytes.Equal(ref, got) {
+					t.Errorf("%d nodes: vm heap differs from interp heap", nodes)
 				}
 			}
 		})
@@ -76,11 +74,9 @@ func TestEngineEquivalenceUnderBenignFaults(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
 			ref := engineRun(t, p, cluster.EngineInterp, 4, benign)
-			for _, eng := range []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes} {
-				got := engineRun(t, p, eng, 4, benign)
-				if !bytes.Equal(ref, got) {
-					t.Errorf("%s heap differs from interp heap under benign faults", eng)
-				}
+			got := engineRun(t, p, cluster.EngineVM, 4, benign)
+			if !bytes.Equal(ref, got) {
+				t.Errorf("vm heap differs from interp heap under benign faults")
 			}
 		})
 	}

@@ -57,6 +57,7 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	p.code = fuse(c.code, k.NumSlots, c.tiBase, c.tfBase)
 	p.numI = c.maxTI
 	p.numF = c.maxTF
+	p.mutI, p.mutF = slotWriters(p)
 	return p, nil
 }
 

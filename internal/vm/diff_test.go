@@ -2,7 +2,7 @@ package vm_test
 
 // Differential tests: the interpreter is the semantic oracle.  Every random
 // kernel must produce bitwise-identical buffers, identical Work counters,
-// and matching error behaviour under both engines.
+// and matching error behaviour under the interpreter and the vm.
 
 import (
 	"bytes"
@@ -27,7 +27,6 @@ type engineFn func(*interp.Launch) (blockRunner, error)
 
 func interpEngine(l *interp.Launch) (blockRunner, error) { return interp.NewRunner(l) }
 func vmEngine(l *interp.Launch) (blockRunner, error)     { return vm.NewRunner(l) }
-func laneEngine(l *interp.Launch) (blockRunner, error)   { return vm.NewLaneRunner(l) }
 
 // runEngine executes every block of the grid in linear order on a fresh copy
 // of the initial buffers, returning the final memory image, the accumulated
@@ -84,53 +83,57 @@ func fuzzInit() ([]*interp.HostBuffer, []interp.Value) {
 	return init, args
 }
 
-// namedEngine pairs an engine constructor with a label for failure output.
-type namedEngine struct {
-	name string
-	fn   engineFn
-}
-
-// diffRun runs src through the interpreter and the listed engines and
-// asserts equivalence against the interpreter oracle.
-func diffRun(t *testing.T, src string, grid, block interp.Dim3, engines ...namedEngine) {
+// diffRun runs src through the interpreter and the vm (at the current lane
+// width) and asserts equivalence against the interpreter oracle.
+func diffRun(t *testing.T, src string, grid, block interp.Dim3) {
 	t.Helper()
 	mod, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
-	k := mod.Kernels[0]
-	if len(engines) == 0 {
-		engines = []namedEngine{{"vm", vmEngine}}
+	if msg := diffKernel(mod.Kernels[0], grid, block, 0); msg != "" {
+		t.Fatalf("%s\n%s", msg, src)
 	}
+}
+
+// diffKernel runs k over the fuzz signature under the interpreter and the
+// vm and describes the first divergence, or returns "" when they agree:
+// error presence, then (when neither failed) exact Work and bitwise memory.
+func diffKernel(k *kir.Kernel, grid, block interp.Dim3, maxIters int64) string {
 	init, args := fuzzInit()
-	mi, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 0)
-	for _, eng := range engines {
-		mv, wv, ev := runEngine(eng.fn, k, grid, block, args, init, 0)
-		if (ei != nil) != (ev != nil) {
-			t.Fatalf("error divergence: interp=%v %s=%v\n%s", ei, eng.name, ev, src)
-		}
-		if ei != nil {
-			continue // both errored; messages carry engine prefixes, memory undefined
-		}
-		if wi != wv {
-			t.Fatalf("work divergence:\ninterp %+v\n%s %+v\n%s", wi, eng.name, wv, src)
-		}
-		if !bytes.Equal(mi, mv) {
-			for i := range mi {
-				if mi[i] != mv[i] {
-					t.Fatalf("memory divergence at byte %d: interp=%#x %s=%#x\n%s",
-						i, mi[i], eng.name, mv[i], src)
-				}
-			}
+	mi, wi, ei := runEngine(interpEngine, k, grid, block, args, init, maxIters)
+	mv, wv, ev := runEngine(vmEngine, k, grid, block, args, init, maxIters)
+	if (ei != nil) != (ev != nil) {
+		return fmt.Sprintf("error divergence: interp=%v vm=%v", ei, ev)
+	}
+	if ei != nil {
+		return "" // both errored; messages carry engine prefixes, memory undefined
+	}
+	if wi != wv {
+		return fmt.Sprintf("work divergence:\ninterp %+v\nvm     %+v", wi, wv)
+	}
+	for i := range mi {
+		if mi[i] != mv[i] {
+			return fmt.Sprintf("memory divergence at byte %d: interp=%#x vm=%#x", i, mi[i], mv[i])
 		}
 	}
+	return ""
+}
+
+// sameError reports whether two engines' errors say the same thing once
+// their "interp: " / "vm: " package prefixes are dropped.
+func sameError(ei, ev error) bool {
+	norm := func(err error) string {
+		return strings.NewReplacer("interp: ", "", "vm: ", "").Replace(err.Error())
+	}
+	return norm(ei) == norm(ev)
 }
 
 // gen produces random kernel source over the fixed fuzz signature.
 //
 // laneSafe restricts generation to kernels whose result is independent of
-// the thread interleaving, so the lane engine's lockstep schedule must be
-// bitwise-identical to the sequential engines: no reads of buffers other
+// the thread interleaving, so the vm's lockstep schedule at any lane width
+// must be bitwise-identical to the interpreter: no reads of buffers other
 // threads store (ib[...] leaves), and at most one atomic site per buffer
 // (an int atomicMax and a straight-line float atomicAdd both commute under
 // the reordering lockstep introduces; a second non-commuting site on the
@@ -286,15 +289,15 @@ func (g *gen) kernel(mode int) string {
 		}
 		b.WriteString("    }\n")
 		b.WriteString(fmt.Sprintf("    out[%s] = acc;\n", g.idx(1)))
-	case 3: // atomics (no sync: both engines run threads sequentially)
+	case 3: // atomics (no sync: at width 1 both engines run threads sequentially)
 		b.WriteString("    float acc = 0.0f;\n")
 		b.WriteString(fmt.Sprintf("    acc = %s;\n", g.fltExpr(2)))
 		b.WriteString(fmt.Sprintf("    atomicAdd(&out[%s], acc);\n", g.idx(1)))
 		b.WriteString(fmt.Sprintf("    atomicMax(&ib[%s], %s);\n", g.idx(1), g.intExpr(1)))
 		if !g.laneSafe && g.pick(2) == 0 {
 			// A second atomic op on ib does not commute with the atomicMax
-			// above (max∘add != add∘max), so the lane engine's reordering
-			// could legitimately diverge; only the sequential engines may
+			// above (max∘add != add∘max), so lockstep reordering could
+			// legitimately diverge; only width 1's sequential order may
 			// compare it.
 			b.WriteString(fmt.Sprintf("    atomicAdd(&ib[%s], %s);\n", g.idx(1), g.intExpr(1)))
 		}
@@ -320,7 +323,12 @@ func (g *gen) kernel(mode int) string {
 	return b.String()
 }
 
+// TestDiffFuzz fuzzes the full corpus, interleaving-dependent kernels
+// included, against the interpreter at lane width 1, where the vm runs
+// threads in the interpreter's sequential order.
 func TestDiffFuzz(t *testing.T) {
+	prev := vm.SetLaneWidth(1)
+	defer vm.SetLaneWidth(prev)
 	rng := rand.New(rand.NewSource(20260805))
 	for iter := 0; iter < 200; iter++ {
 		g := &gen{rng: rng}
@@ -347,10 +355,10 @@ func TestDiffFuzz(t *testing.T) {
 	}
 }
 
-// TestDiffFuzzLanes fuzzes the lane-batched engine against both sequential
-// engines: lane-safe random kernels (divergence, loops, atomics, barriers)
-// across lane widths and deliberately odd block sizes, so partial tail
-// batches, split/reconverge paths, and per-batch barrier suspension all get
+// TestDiffFuzzLanes fuzzes the vm against the interpreter on lane-safe
+// random kernels (divergence, loops, atomics, barriers) across lane widths
+// and deliberately odd block sizes, so partial tail batches,
+// split/reconverge paths, and per-batch barrier suspension all get
 // exercised.
 func TestDiffFuzzLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -378,8 +386,7 @@ func TestDiffFuzzLanes(t *testing.T) {
 		t.Run(fmt.Sprintf("iter%03d_mode%d_w%d", iter, mode, w), func(t *testing.T) {
 			prev := vm.SetLaneWidth(w)
 			defer vm.SetLaneWidth(prev)
-			diffRun(t, src, grid, block,
-				namedEngine{"vm", vmEngine}, namedEngine{"vm-lanes", laneEngine})
+			diffRun(t, src, grid, block)
 		})
 	}
 }
@@ -402,15 +409,14 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 		t.Run(fmt.Sprintf("w%d_block%d", tc.w, tc.block), func(t *testing.T) {
 			prev := vm.SetLaneWidth(tc.w)
 			defer vm.SetLaneWidth(prev)
-			diffRun(t, src, interp.Dim1(2), interp.Dim1(tc.block),
-				namedEngine{"vm-lanes", laneEngine})
+			diffRun(t, src, interp.Dim1(2), interp.Dim1(tc.block))
 		})
 	}
 }
 
 // TestLaneAllLanesDead: a batch where every lane dies must report the
 // batch's lowest-thread-id error and not disturb other batches' execution
-// (which never runs, matching the scalar engine's first-error abort).
+// (which never runs, matching the interpreter's first-error abort).
 func TestLaneAllLanesDead(t *testing.T) {
 	src := `
 __global__ void fz(float* out, float* a, int* ib, int n, float s) {
@@ -426,23 +432,23 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 	prev := vm.SetLaneWidth(8)
 	defer vm.SetLaneWidth(prev)
 	init, args := fuzzInit()
+	_, wi, ei := runEngine(interpEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
 	_, wv, ev := runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
-	_, wl, el := runEngine(laneEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
-	if ev == nil || el == nil {
-		t.Fatalf("expected both engines to fail: vm=%v lanes=%v", ev, el)
+	if ei == nil || ev == nil {
+		t.Fatalf("expected both engines to fail: interp=%v vm=%v", ei, ev)
 	}
-	if ev.Error() != el.Error() {
-		t.Fatalf("error mismatch:\nvm    %v\nlanes %v", ev, el)
+	if !sameError(ei, ev) {
+		t.Fatalf("error mismatch:\ninterp %v\nvm     %v", ei, ev)
 	}
-	if wv != (interp.Work{}) || wl != (interp.Work{}) {
-		t.Fatalf("failed blocks must report zero work: vm=%+v lanes=%+v", wv, wl)
+	if wi != (interp.Work{}) || wv != (interp.Work{}) {
+		t.Fatalf("failed blocks must report zero work: interp=%+v vm=%+v", wi, wv)
 	}
 }
 
 // TestLaneErrorOrdering: when several lanes die with different errors, the
-// lane engine must report the lowest thread id's error — the interpreter's
-// (and scalar VM's) thread-id-order first-error rule — in both the
-// straight-line and the phased scheduler.
+// vm must report the lowest thread id's error — the interpreter's
+// thread-id-order first-error rule — in both the straight-line and the
+// phased scheduler.
 func TestLaneErrorOrdering(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"straight", `
@@ -473,16 +479,16 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 			prev := vm.SetLaneWidth(8)
 			defer vm.SetLaneWidth(prev)
 			init, args := fuzzInit()
+			_, _, ei := runEngine(interpEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
 			_, _, ev := runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
-			_, _, el := runEngine(laneEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
-			if ev == nil || el == nil {
-				t.Fatalf("expected both engines to fail: vm=%v lanes=%v", ev, el)
+			if ei == nil || ev == nil {
+				t.Fatalf("expected both engines to fail: interp=%v vm=%v", ei, ev)
 			}
-			if ev.Error() != el.Error() {
-				t.Fatalf("first-error mismatch:\nvm    %v\nlanes %v", ev, el)
+			if !sameError(ei, ev) {
+				t.Fatalf("first-error mismatch:\ninterp %v\nvm     %v", ei, ev)
 			}
-			if !strings.Contains(el.Error(), "out of bounds") {
-				t.Fatalf("expected the lower thread's oob error to win, got %v", el)
+			if !strings.Contains(ev.Error(), "out of bounds") {
+				t.Fatalf("expected the lower thread's oob error to win, got %v", ev)
 			}
 		})
 	}
@@ -544,12 +550,14 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 			grid, block := interp.Dim1(1), interp.Dim1(4)
 			_, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 10000)
 			_, wv, ev := runEngine(vmEngine, k, grid, block, args, init, 10000)
-			_, wl, el := runEngine(laneEngine, k, grid, block, args, init, 10000)
-			if ei == nil || ev == nil || el == nil {
-				t.Fatalf("expected all engines to fail: interp=%v vm=%v lanes=%v", ei, ev, el)
+			if ei == nil || ev == nil {
+				t.Fatalf("expected both engines to fail: interp=%v vm=%v", ei, ev)
 			}
-			if wi != (interp.Work{}) || wv != (interp.Work{}) || wl != (interp.Work{}) {
-				t.Fatalf("failed blocks must report zero work: interp=%+v vm=%+v lanes=%+v", wi, wv, wl)
+			if !sameError(ei, ev) {
+				t.Fatalf("first-error mismatch:\ninterp %v\nvm     %v", ei, ev)
+			}
+			if wi != (interp.Work{}) || wv != (interp.Work{}) {
+				t.Fatalf("failed blocks must report zero work: interp=%+v vm=%+v", wi, wv)
 			}
 		})
 	}
@@ -587,8 +595,8 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 		if ei == nil || ev == nil {
 			t.Fatalf("budget %d: expected both to fail: interp=%v vm=%v", budget, ei, ev)
 		}
-		if !strings.Contains(ev.Error(), "loop iterations") {
-			t.Fatalf("budget %d: vm error %v", budget, ev)
+		if !strings.Contains(ev.Error(), "loop iterations") || !sameError(ei, ev) {
+			t.Fatalf("budget %d: error mismatch:\ninterp %v\nvm     %v", budget, ei, ev)
 		}
 	}
 }

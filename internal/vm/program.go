@@ -2,16 +2,19 @@
 //
 // Where internal/interp walks the kir.Expr/kir.Stmt trees with an interface
 // dispatch and an (Value, error) return per node, this package lowers a
-// kernel once into a flat instruction slice over two preallocated register
-// files (int64 and float64, mirroring the two fields of interp.Value) and
-// then dispatches it in a tight loop.  Structured control flow becomes
-// jumps; literals become registers preloaded from a constant pool; barrier
-// kernels run as cooperatively scheduled threads that suspend at opSync
-// instead of one goroutine per GPU thread.
+// kernel once into a flat instruction slice over two register files (int64
+// and float64, mirroring the two fields of interp.Value) and then
+// dispatches it in a tight loop, each opcode over a warp-style batch of
+// threads in lockstep (lanes.go).  Structured control flow becomes jumps;
+// literals become registers preloaded from a constant pool; barrier kernels
+// run as cooperatively scheduled batches that suspend at opSync instead of
+// one goroutine per GPU thread.
 //
-// The interpreter remains the semantic oracle: for every kernel the VM must
-// produce bitwise-identical memory, identical Work counters, and the same
-// error behaviour.  Where the interpreter has a quirk (e.g. the float view
+// The interpreter remains the semantic oracle: for every kernel whose
+// result does not depend on thread interleaving the VM must produce
+// bitwise-identical memory, identical Work counters, and the same error
+// behaviour; at lane width 1 threads run in the interpreter's order, so
+// the equivalence holds for every kernel.  Where the interpreter has a quirk (e.g. the float view
 // of an integer-typed operand is the Value's zero F field), the compiler
 // reproduces it exactly; diff_test.go enforces the equivalence on random
 // kernels.
@@ -227,6 +230,12 @@ type CompiledKernel struct {
 
 	shared    []sharedMeta
 	sharedLen int // total elements across all shared arrays
+
+	// mutI / mutF list the variable slots the program writes (int and
+	// float register files respectively).  Only these rows go stale
+	// between lane batches; resetBatch skips the rest, which for
+	// read-only-argument kernels is all of them.
+	mutI, mutF []int
 
 	hasSync bool
 }
